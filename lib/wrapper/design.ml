@@ -19,7 +19,47 @@ type t = {
 }
 
 let test_time ~patterns ~scan_in ~scan_out =
-  ((1 + max scan_in scan_out) * patterns) + min scan_in scan_out
+  ((1 + Int.max scan_in scan_out) * patterns) + Int.min scan_in scan_out
+
+(* Binary min-heap of chain indices keyed by [(len.(j), j)] in
+   [heap.(0 .. size - 1)]: its top is the shortest chain, lowest index
+   first — exactly the chain [Select.min_index_by] picks — so each
+   placement costs O(log chains) instead of a full scan. *)
+let heap_less (len : int array) a b =
+  len.(a) < len.(b) || (len.(a) = len.(b) && a < b)
+[@@soctam.hot]
+
+let rec heap_down len (heap : int array) size i =
+  let l = (2 * i) + 1 in
+  if l < size then begin
+    let r = l + 1 in
+    let c = if r < size && heap_less len heap.(r) heap.(l) then r else l in
+    if heap_less len heap.(c) heap.(i) then begin
+      let top = heap.(i) in
+      heap.(i) <- heap.(c);
+      heap.(c) <- top;
+      heap_down len heap size c
+    end
+  end
+[@@soctam.hot]
+
+let heap_of len =
+  let size = Array.length len in
+  let heap = Array.init size Fun.id in
+  for i = (size / 2) - 1 downto 0 do
+    heap_down len heap size i
+  done;
+  heap
+
+(* Add [count] cells one at a time, each to the chain at the top of
+   [heap] (the shortest under [len]), counting them in [cells]. *)
+let place_cells len heap ~count ~cells =
+  for _ = 1 to count do
+    let j = heap.(0) in
+    len.(j) <- len.(j) + 1;
+    cells.(j) <- cells.(j) + 1;
+    heap_down len heap (Array.length heap) 0
+  done
 
 let with_chain_count (core : Core_data.t) ~chains =
   if chains < 1 then invalid_arg "Design.with_chain_count: chains must be >= 1";
@@ -45,32 +85,18 @@ let with_chain_count (core : Core_data.t) ~chains =
       (fun chain g -> internal.(g) <- chain :: internal.(g))
       packing.Soctam_schedule.Makespan.assignment
   end;
-  (* Bidirectional cells: lengthen both sides of the chosen chain; place
-     where the max of the two resulting lengths is smallest. *)
-  for _ = 1 to core.Core_data.bidirs do
-    let best = ref 0 in
-    for j = 1 to chains - 1 do
-      let cand = (max (scan_in.(j) + 1) (scan_out.(j) + 1), scan_in.(j)) in
-      let cur =
-        (max (scan_in.(!best) + 1) (scan_out.(!best) + 1), scan_in.(!best))
-      in
-      if cand < cur then best := j
-    done;
-    scan_in.(!best) <- scan_in.(!best) + 1;
-    scan_out.(!best) <- scan_out.(!best) + 1;
-    bidir_cells.(!best) <- bidir_cells.(!best) + 1
-  done;
-  (* Input cells lengthen scan-in only; output cells scan-out only. *)
-  for _ = 1 to core.Core_data.inputs do
-    let j = Soctam_util.Select.min_index_by (fun x -> x) scan_in in
-    scan_in.(j) <- scan_in.(j) + 1;
-    input_cells.(j) <- input_cells.(j) + 1
-  done;
-  for _ = 1 to core.Core_data.outputs do
-    let j = Soctam_util.Select.min_index_by (fun x -> x) scan_out in
-    scan_out.(j) <- scan_out.(j) + 1;
-    output_cells.(j) <- output_cells.(j) + 1
-  done;
+  (* Bidirectional cells lengthen both sides of a chain, placed where
+     the larger resulting side is shortest, ties to the shorter scan-in.
+     Scan-in and scan-out are equal on every chain until the bidirs are
+     placed, so that rule is simply "shortest scan-in": the same heap
+     then serves the input cells (scan-in only). Output cells lengthen
+     scan-out only and get a heap of their own. *)
+  let heap = heap_of scan_in in
+  place_cells scan_in heap ~count:core.Core_data.bidirs ~cells:bidir_cells;
+  Array.iteri (fun j b -> scan_out.(j) <- scan_out.(j) + b) bidir_cells;
+  place_cells scan_in heap ~count:core.Core_data.inputs ~cells:input_cells;
+  place_cells scan_out (heap_of scan_out) ~count:core.Core_data.outputs
+    ~cells:output_cells;
   let used = ref 0 in
   for j = 0 to chains - 1 do
     if scan_in.(j) + scan_out.(j) > 0 then incr used
@@ -158,35 +184,95 @@ let validate_layout (core : Core_data.t) design =
 let better a b =
   a.time < b.time || (a.time = b.time && a.used_width < b.used_width)
 
+(* With this many chains every internal chain and every cell can have a
+   wrapper chain of its own; each chain past it stays empty, so neither
+   the time nor the used width can improve beyond it. *)
+let natural_width (core : Core_data.t) =
+  max 1
+    (Core_data.scan_chain_count core + core.Core_data.bidirs
+    + max core.Core_data.inputs core.Core_data.outputs)
+
 let design core ~width =
   if width < 1 then invalid_arg "Design.design: width must be >= 1";
   let best = ref (with_chain_count core ~chains:1) in
-  for n = 2 to width do
+  for n = 2 to min width (natural_width core) do
     let cand = with_chain_count core ~chains:n in
     if better cand !best then best := cand
   done;
   { !best with requested_width = width }
 
-let time_table core ~max_width =
+(* -- time-only kernel ------------------------------------------------------
+
+   [time_table] needs only [with_chain_count]'s time, which has a closed
+   form. The scan-in lengths start as the LPT loads of the internal
+   chains over [min n k] chains, with makespan [M_n]; bidirs and then
+   inputs add one unit at a time to the shortest chain. Unit-filling the
+   current minimum ends at [max M_n (ceil ((S + c) / n))] for [S]
+   flip-flops and [c] units: while no chain exceeds [M_n] the bound is
+   [M_n], and once one does every chain sits at [M_n] and the fill stays
+   level. Scan-out is the same with outputs for inputs. *)
+
+let rec max_prefix (a : int array) n i acc =
+  if i >= n then acc else max_prefix a n (i + 1) (Int.max acc a.(i))
+[@@soctam.hot]
+
+(* [Makespan.lpt]'s makespan for [sorted] (longest first) over
+   [machines] machines, in the caller's [loads] and [heap] scratch. *)
+let lpt_makespan (sorted : int array) ~machines loads heap =
+  for m = 0 to machines - 1 do
+    loads.(m) <- 0;
+    heap.(m) <- m
+  done;
+  for j = 0 to Array.length sorted - 1 do
+    let m = heap.(0) in
+    loads.(m) <- loads.(m) + sorted.(j);
+    heap_down loads heap machines 0
+  done;
+  max_prefix loads machines 0 0
+[@@soctam.hot]
+
+(* Longest of [n] chains after unit-filling [units] cells (flip-flops
+   included) onto the shortest, from internal-chain makespan [makespan]. *)
+let filled_max ~makespan ~units n = Int.max makespan ((units + n - 1) / n)
+[@@soctam.hot]
+
+(* [with_chain_count core ~chains:n].time for the core summarised by
+   its pattern count, internal-chain makespan over [min n k] chains,
+   flip-flop count and cell counts. *)
+let chain_count_time ~patterns ~makespan ~ffs ~bidirs ~inputs ~outputs n =
+  let si = filled_max ~makespan ~units:(ffs + bidirs + inputs) n in
+  let so = filled_max ~makespan ~units:(ffs + bidirs + outputs) n in
+  test_time ~patterns ~scan_in:si ~scan_out:so
+[@@soctam.hot]
+
+let time_table (core : Core_data.t) ~max_width =
   if max_width < 1 then invalid_arg "Design.time_table: max_width must be >= 1";
+  let sorted = Array.copy core.Core_data.scan_chains in
+  Array.sort (fun a b -> Int.compare b a) sorted;
+  let k = Array.length sorted in
+  let loads = Array.make k 0 and heap = Array.make k 0 in
+  let ffs = Soctam_util.Intutil.sum sorted in
+  let longest = if k = 0 then 0 else sorted.(0) in
   let times = Array.make max_width 0 in
   let best = ref max_int in
   for n = 1 to max_width do
-    let cand = with_chain_count core ~chains:n in
-    if cand.time < !best then best := cand.time;
+    let makespan =
+      if n >= k then longest else lpt_makespan sorted ~machines:n loads heap
+    in
+    let t =
+      chain_count_time ~patterns:core.Core_data.patterns ~makespan ~ffs
+        ~bidirs:core.Core_data.bidirs ~inputs:core.Core_data.inputs
+        ~outputs:core.Core_data.outputs n
+    in
+    best := Int.min !best t;
     times.(n - 1) <- !best
   done;
   times
 
-let max_useful_width ?(cap = 256) core =
-  (* Enough chains to isolate every internal chain and every cell reach
-     the floor, so the search below this bound is exhaustive. *)
-  let open Core_data in
-  let natural =
-    scan_chain_count core
-    + max (core.inputs + core.bidirs) (core.outputs + core.bidirs)
-  in
-  let limit = max 1 (min cap natural) in
+let max_useful_width core =
+  (* The time is flat from [natural_width] on, so the scan below it is
+     exhaustive. *)
+  let limit = natural_width core in
   let times = time_table core ~max_width:limit in
   let rec first_stable w =
     if w <= 1 then 1

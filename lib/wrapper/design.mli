@@ -48,24 +48,34 @@ val test_time : patterns:int -> scan_in:int -> scan_out:int -> int
 
 val with_chain_count : Soctam_model.Core_data.t -> chains:int -> t
 (** Wrapper design using exactly [chains] wrapper scan chains (some may
-    end up empty for degenerate cores). Building block for {!design};
-    exposed for tests and ablations. @raise Invalid_argument when
-    [chains < 1]. *)
+    end up empty for degenerate cores). Building block for {!design} and
+    the reference the certifier checks layouts against; exposed for
+    tests and ablations. Internal chains are LPT-packed, then each cell
+    goes to the shortest chain, lowest index first, through a min-heap:
+    O(k * min(chains, k) + chains + cells * log chains) for [k] internal
+    chains. @raise Invalid_argument when [chains < 1]. *)
 
 val design : Soctam_model.Core_data.t -> width:int -> t
-(** Best design over all chain counts [1 .. width].
+(** Best design over all chain counts [1 .. width]. Chain counts past
+    [k + bidirs + max inputs outputs] (every internal chain and cell on a
+    wrapper chain of its own) leave the extra chains empty, so the loop
+    stops there: at most that many {!with_chain_count} builds.
     @raise Invalid_argument when [width < 1]. *)
 
 val time_table : Soctam_model.Core_data.t -> max_width:int -> int array
 (** [time_table core ~max_width] gives the core's testing time at every
-    width: element [w - 1] is [(design core ~width:w).time]. Computed in
-    one pass (O(max_width * cells)), so use this rather than repeated
-    {!design} calls when sweeping widths. *)
+    width: element [w - 1] is [(design core ~width:w).time]. Builds no
+    layout: the time for [n] chains has a closed form in the LPT
+    makespan of the internal chains over [min n k] chains, so one call
+    costs O(max_width + k^2 log k) and allocates nothing per width. Use
+    this rather than repeated {!design} calls when sweeping widths. *)
 
-val max_useful_width : ?cap:int -> Soctam_model.Core_data.t -> int
-(** Smallest width beyond which the testing time stops decreasing
-    (capped at [cap], default 256). The paper's p31108 lower-bound
-    saturation comes from its bottleneck core reaching this width. *)
+val max_useful_width : Soctam_model.Core_data.t -> int
+(** Smallest width beyond which the testing time stops decreasing. It
+    is at most [k + bidirs + max inputs outputs], where every internal
+    chain and cell has a wrapper chain of its own. The paper's p31108
+    lower-bound saturation comes from its bottleneck core reaching this
+    width. *)
 
 val pareto_widths :
   Soctam_model.Core_data.t -> max_width:int -> (int * int) list

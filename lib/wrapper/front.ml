@@ -29,7 +29,7 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
 (* The cache key is the core's test content — every field
-   [Design.with_chain_count] reads — and deliberately not its [id] or
+   [Design.time_table] reads — and deliberately not its [id] or
    [name]: distinct cores with identical wrapper behavior (common in
    synthetic SOC families) share one entry. *)
 let key (core : Core_data.t) =

@@ -2,11 +2,12 @@
 
     [Design.time_table core ~max_width] — the core's best testing time
     at every wrapper width, the paper's per-core Pareto front — costs
-    O(max_width * chains) per call, and the co-optimization layers ask
-    for the same cores' fronts once per table build, per sweep width,
-    per solver invocation. The fronts depend only on the core's test
-    content, so this module keeps a bounded, process-wide,
-    domain-safe (mutex-guarded) cache in front of the computation.
+    O(max_width + k^2 log k) per call for [k] internal scan chains, and
+    the co-optimization layers ask for the same cores' fronts once per
+    table build, per sweep width, per solver invocation. The fronts
+    depend only on the core's test content, so this module keeps a
+    bounded, process-wide, domain-safe (mutex-guarded) cache in front of
+    the computation.
 
     Key: the core's content fields ([inputs]/[outputs]/[bidirs]/
     [patterns]/[scan_chains]) — deliberately not its [id] or [name], so

@@ -177,6 +177,13 @@ let optimize_certify_flag () =
     [ "anneal"; "d695"; "-w"; "12"; "--iterations"; "5000"; "--certify" ]
     [ "OK: simulated annealing result" ]
 
+(* Very wide TAMs: every core saturates long before W, and the time
+   table and certification must stay cheap rather than grow with W. *)
+let optimize_wide_certify () =
+  check_output
+    [ "optimize"; "d695"; "-w"; "2000"; "-b"; "2"; "--certify" ]
+    [ "OK: d695 co-optimization (W = 2000)" ]
+
 let check_command_roundtrip () =
   let path = Filename.temp_file "cli_check" ".arch" in
   check_output
@@ -342,6 +349,7 @@ let suite =
     test "tables: markdown and csv" tables_markdown_and_csv;
     test "wrapper: layout flag" wrapper_layout_flag;
     test "optimize/anneal: --certify" optimize_certify_flag;
+    test "optimize: -w 2000 --certify" optimize_wide_certify;
     test "check: roundtrip + corruption" check_command_roundtrip;
     test "lint" lint_command;
     test "schedule: --certify" schedule_certify_flag;

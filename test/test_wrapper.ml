@@ -117,9 +117,10 @@ let table_matches_design =
   QCheck.Test.make ~name:"time_table agrees with design at every width"
     ~count:60 arbitrary_core
     (fun c ->
-      let times = Design.time_table c ~max_width:12 in
+      let max_width = 64 in
+      let times = Design.time_table c ~max_width in
       let ok = ref true in
-      for w = 1 to 12 do
+      for w = 1 to max_width do
         if times.(w - 1) <> (Design.design c ~width:w).Design.time then
           ok := false
       done;
@@ -241,6 +242,196 @@ let layout_catches_tampering () =
   in
   Alcotest.(check bool) "missing chain detected" true
     (Design.validate_layout c missing_chain <> Ok ())
+
+(* -- differential: kernel and heap builder against their references ---- *)
+
+(* The min-scan greedy [Design.with_chain_count] used before the heap:
+   every bidir cell to the chain minimising (max of both sides after
+   the cell, scan-in), every input cell to the first shortest scan-in,
+   every output cell to the first shortest scan-out. *)
+let min_scan_with_chain_count (core : Core_data.t) ~chains =
+  let scan_groups = min chains (Core_data.scan_chain_count core) in
+  let scan_in = Array.make chains 0 in
+  let scan_out = Array.make chains 0 in
+  let internal = Array.make chains [] in
+  let input_cells = Array.make chains 0 in
+  let output_cells = Array.make chains 0 in
+  let bidir_cells = Array.make chains 0 in
+  if scan_groups > 0 then begin
+    let packing =
+      Soctam_schedule.Makespan.lpt ~durations:core.Core_data.scan_chains
+        ~machines:scan_groups
+    in
+    Array.iteri
+      (fun g load ->
+        scan_in.(g) <- load;
+        scan_out.(g) <- load)
+      packing.Soctam_schedule.Makespan.loads;
+    Array.iteri
+      (fun chain g -> internal.(g) <- chain :: internal.(g))
+      packing.Soctam_schedule.Makespan.assignment
+  end;
+  for _ = 1 to core.Core_data.bidirs do
+    let best = ref 0 in
+    for j = 1 to chains - 1 do
+      let cand = (max (scan_in.(j) + 1) (scan_out.(j) + 1), scan_in.(j)) in
+      let cur =
+        (max (scan_in.(!best) + 1) (scan_out.(!best) + 1), scan_in.(!best))
+      in
+      if cand < cur then best := j
+    done;
+    scan_in.(!best) <- scan_in.(!best) + 1;
+    scan_out.(!best) <- scan_out.(!best) + 1;
+    bidir_cells.(!best) <- bidir_cells.(!best) + 1
+  done;
+  for _ = 1 to core.Core_data.inputs do
+    let j = Soctam_util.Select.min_index_by (fun x -> x) scan_in in
+    scan_in.(j) <- scan_in.(j) + 1;
+    input_cells.(j) <- input_cells.(j) + 1
+  done;
+  for _ = 1 to core.Core_data.outputs do
+    let j = Soctam_util.Select.min_index_by (fun x -> x) scan_out in
+    scan_out.(j) <- scan_out.(j) + 1;
+    output_cells.(j) <- output_cells.(j) + 1
+  done;
+  let used = ref 0 in
+  for j = 0 to chains - 1 do
+    if scan_in.(j) + scan_out.(j) > 0 then incr used
+  done;
+  let scan_in_max = Soctam_util.Intutil.max_element scan_in in
+  let scan_out_max = Soctam_util.Intutil.max_element scan_out in
+  {
+    Design.requested_width = chains;
+    used_width = !used;
+    scan_in;
+    scan_out;
+    scan_in_max;
+    scan_out_max;
+    time =
+      Design.test_time ~patterns:core.Core_data.patterns ~scan_in:scan_in_max
+        ~scan_out:scan_out_max;
+    layout =
+      Array.init chains (fun j ->
+          {
+            Design.internal_chains = List.rev internal.(j);
+            input_cells = input_cells.(j);
+            output_cells = output_cells.(j);
+            bidir_cells = bidir_cells.(j);
+          });
+  }
+
+(* The time table as a running minimum over full layouts. *)
+let layout_time_table core ~max_width =
+  let best = ref max_int in
+  Array.init max_width (fun i ->
+      best := min !best (Design.with_chain_count core ~chains:(i + 1)).Design.time;
+      !best)
+
+(* [design] without the natural-width stop: every chain count 1..width. *)
+let full_loop_design core ~width =
+  let best = ref (Design.with_chain_count core ~chains:1) in
+  for n = 2 to width do
+    let cand = Design.with_chain_count core ~chains:n in
+    let b = !best in
+    if
+      cand.Design.time < b.Design.time
+      || (cand.Design.time = b.Design.time
+         && cand.Design.used_width < b.Design.used_width)
+    then best := cand
+  done;
+  { !best with Design.requested_width = width }
+
+(* Every internal chain and cell on a wrapper chain of its own. *)
+let natural c =
+  Core_data.scan_chain_count c + c.Core_data.bidirs
+  + max c.Core_data.inputs c.Core_data.outputs
+
+let builtin_socs () =
+  [
+    ("d695", Soctam_soc_data.D695.soc);
+    ("p21241", Soctam_soc_data.Philips.soc_p21241 ());
+    ("p31108", Soctam_soc_data.Philips.soc_p31108 ());
+    ("p93791", Soctam_soc_data.Philips.soc_p93791 ());
+  ]
+
+let each_builtin_core f =
+  List.iter
+    (fun (name, soc) ->
+      for i = 0 to Soctam_model.Soc.core_count soc - 1 do
+        f (Printf.sprintf "%s core %d" name (i + 1)) (Soctam_model.Soc.core soc i)
+      done)
+    (builtin_socs ())
+
+let kernel_matches_layouts_on_builtins () =
+  each_builtin_core (fun label c ->
+      Alcotest.(check (array int))
+        label
+        (layout_time_table c ~max_width:256)
+        (Design.time_table c ~max_width:256))
+
+let heap_matches_min_scan_on_builtins () =
+  each_builtin_core (fun label c ->
+      for n = 1 to 128 do
+        if Design.with_chain_count c ~chains:n <> min_scan_with_chain_count c ~chains:n
+        then Alcotest.failf "%s: chains %d differ from the min-scan greedy" label n
+      done)
+
+let natural_stop_on_builtins () =
+  each_builtin_core (fun label c ->
+      List.iter
+        (fun width ->
+          if Design.design c ~width <> full_loop_design c ~width then
+            Alcotest.failf "%s: design differs at width %d" label width)
+        [ 1; 7; 64; 200 ])
+
+(* Cores with up to 24 internal chains, so that widths fall on both
+   sides of the internal-chain count and of [natural]; memory cores
+   (no internal chains) and bidirs included. *)
+let differential_core =
+  let gen =
+    QCheck.Gen.(
+      let* inputs = int_range 0 40 in
+      let* outputs = int_range 0 40 in
+      let* bidirs = int_range 0 12 in
+      let* patterns = int_range 1 60 in
+      let* nchains = frequency [ (1, return 0); (4, int_range 1 24) ] in
+      let* scan_chains = list_repeat nchains (int_range 1 60) in
+      let inputs = if inputs + outputs + bidirs + nchains = 0 then 1 else inputs in
+      return (core ~inputs ~outputs ~bidirs ~scan_chains ~patterns ()))
+  in
+  QCheck.make gen ~print:(fun c -> Format.asprintf "%a" Core_data.pp c)
+
+let kernel_matches_layouts =
+  QCheck.Test.make ~name:"time_table kernel = running min of layout times"
+    ~count:250 differential_core
+    (fun c ->
+      let max_width = natural c + 8 in
+      Design.time_table c ~max_width = layout_time_table c ~max_width)
+
+let heap_matches_min_scan =
+  QCheck.Test.make ~name:"with_chain_count heap = min-scan greedy" ~count:200
+    differential_core
+    (fun c ->
+      let ok = ref true in
+      for n = 1 to min 128 (natural c + 8) do
+        if Design.with_chain_count c ~chains:n <> min_scan_with_chain_count c ~chains:n
+        then ok := false
+      done;
+      !ok)
+
+let natural_stop_matches_full_loop =
+  QCheck.Test.make ~name:"design natural-width stop = full chain-count loop"
+    ~count:200
+    QCheck.(pair differential_core (int_range 1 90))
+    (fun (c, width) -> Design.design c ~width = full_loop_design c ~width)
+
+let max_useful_width_past_256 () =
+  (* Scan-free, 600 inputs: every width up to 600 shortens scan-in. *)
+  let c = core ~inputs:600 ~patterns:3 () in
+  Alcotest.(check int) "saturates at 600" 600 (Design.max_useful_width c);
+  let times = Design.time_table c ~max_width:601 in
+  Alcotest.(check bool) "599 -> 600 still helps" true (times.(598) > times.(599));
+  Alcotest.(check int) "flat past 600" times.(599) times.(600)
 
 (* -- Front: the per-core Pareto-front memo cache --------------------------- *)
 
@@ -393,6 +584,16 @@ let suite =
     qtest pareto_structure;
     test "pareto: matches table" pareto_covers_table;
     qtest max_useful_width_saturates;
+    test "max_useful_width: no cap at 256" max_useful_width_past_256;
+    test "kernel: layout times on the built-in SOCs, W <= 256"
+      kernel_matches_layouts_on_builtins;
+    qtest kernel_matches_layouts;
+    test "heap builder: min-scan greedy on the built-in SOCs, n <= 128"
+      heap_matches_min_scan_on_builtins;
+    qtest heap_matches_min_scan;
+    test "design: natural-width stop on the built-in SOCs"
+      natural_stop_on_builtins;
+    qtest natural_stop_matches_full_loop;
     qtest layout_always_valid;
     test "layout: tampering detected" layout_catches_tampering;
     test "layout: pretty printer" layout_pretty_printer;
