@@ -64,7 +64,7 @@ lint: build static-analysis
 	fi
 
 # Source-level determinism & domain-safety analysis: the syntactic
-# families (DET-POLY, DET-ENTROPY, DOM-SHARED, API-DEPRECATED, IFACE)
+# families (DET-POLY, DET-ENTROPY, DOM-SHARED, IFACE)
 # plus the Typedtree families (DOM-ESCAPE, LOCK-RAISE, ALLOC-HOT and
 # the effect-inference families EFFECT-WORKER, OUTCOME-DROP,
 # ENGINE-CAPS, TAU-DISCIPLINE) over lib/, bin/, bench/ and examples/,

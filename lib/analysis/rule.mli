@@ -25,16 +25,12 @@ type id =
           [Stack.t] / [Buffer.t] bindings in modules whose code runs on
           [Soctam_util.Pool] domains must be [Atomic], mutex-guarded
           (the [Count] memo exemplar) or explicitly allowed. *)
-  | Api_deprecated
-      (** API-DEPRECATED: no in-repo calls to the
-          [\[@@alert deprecated\]] pre-[run_with] entry points; the
-          wrappers exist for external users only. *)
   | Iface
       (** IFACE: every module under [lib/] has an [.mli]. *)
   | Dom_escape
       (** DOM-ESCAPE (typed pass): a mutable value — [ref], mutable
           record field, [Buffer.t], [Hashtbl.t], array — created outside
-          a worker closure ([Pool.run] / [Pool.map_ranges] /
+          a worker closure ([Pool.map_chunks] / [Team.round] /
           [Domain.spawn] argument) but captured and mutated inside one,
           or mutated from a function the call graph shows is reachable
           from worker closures, without a guarding [Mutex] in scope. *)
@@ -68,8 +64,8 @@ type id =
   | Engine_caps
       (** ENGINE-CAPS (typed pass): an [Engine.S] implementation whose
           [caps] record contradicts its body — [run] reaches
-          [Pool.run] / [Pool.map_chunks] / [Team.round] /
-          [Domain.spawn] while [caps.parallel] is [false], or
+          [Pool.map_chunks] / [Team.round] / [Domain.spawn] while
+          [caps.parallel] is [false], or
           [caps.proves] is [true] with a [cert] spec requesting no
           lib/check certificate. *)
   | Tau_discipline
@@ -84,7 +80,7 @@ val all : id list
 
 val name : id -> string
 (** Stable uppercase identifier: ["DET-POLY"], ["DET-ENTROPY"],
-    ["DOM-SHARED"], ["API-DEPRECATED"], ["IFACE"], ["DOM-ESCAPE"],
+    ["DOM-SHARED"], ["IFACE"], ["DOM-ESCAPE"],
     ["LOCK-RAISE"], ["ALLOC-HOT"], ["EFFECT-WORKER"], ["OUTCOME-DROP"],
     ["ENGINE-CAPS"], ["TAU-DISCIPLINE"]. *)
 

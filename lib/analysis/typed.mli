@@ -6,8 +6,8 @@
     Where the Parsetree rules in {!Analyze} see one file of syntax at a
     time, this pass sees resolved identifier paths ([Path.t]) and whole-
     repository structure: it builds a module-qualified call graph, marks
-    every function transitively callable from a [Pool.run] /
-    [Pool.map_ranges] / [Domain.spawn] worker closure as
+    every function transitively callable from a [Pool.map_chunks] /
+    [Team.round] / [Domain.spawn] worker closure as
     domain-reachable, infers a conservative {!Effect.t} signature for
     every node (a Kleene fixpoint over the call edges), and then checks
     mutation, lock, allocation, outcome, caps and tau discipline against
@@ -24,7 +24,7 @@
 
 type graph
 (** The module-qualified call graph of every analyzed compilation unit.
-    Nodes are ["Module.fn"] (nested: ["Pool.run.worker"]); the
+    Nodes are ["Module.fn"] (nested: ["Pool.map_chunks.run_chunk"]); the
     distinguished pseudo-node ["<workers>"] has an edge to every
     function a worker closure calls. *)
 

@@ -3,6 +3,7 @@ module Prng = Soctam_util.Prng
 module Rc = Soctam_core.Run_config
 module Outcome = Soctam_core.Outcome
 module Checkpoint = Soctam_core.Checkpoint
+module Lifecycle = Soctam_core.Lifecycle
 module Obs = Soctam_obs.Obs
 
 type params = {
@@ -163,8 +164,6 @@ let restore_an ~cfg ~(params : params) ~total_width ~max_tams ~cores
   | Checkpoint.Sweep _ | Checkpoint.Pack _ | Checkpoint.Race _ ->
       invalid_arg "Annealer: resume checkpoint is for a different solver"
 
-exception Stopped of Outcome.t
-
 let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
   if Tt.max_width table < total_width then
     invalid_arg "Annealer: table narrower than total width";
@@ -185,14 +184,8 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
       (restore_an ~cfg ~params ~total_width ~max_tams ~cores)
       cfg.Rc.resume
   in
-  (* Replay the interrupted run's solver-owned counters so the resumed
-     collector converges to an uninterrupted run's totals. *)
-  (match cfg.Rc.resume with
-  | Some cp when Obs.enabled stats && cfg.Rc.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  let lc = Lifecycle.start cfg in
+  Lifecycle.replay lc;
   let st =
     match restored with
     | Some s ->
@@ -297,40 +290,6 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
           };
     }
   in
-  let write_checkpoint cp =
-    match cfg.Rc.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Rc.time_budget
-  in
-  let slices_done = ref 0 in
-  let boundary () =
-    (match cfg.Rc.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Rc.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ())
-  in
   let backup = copy_state ~max_tams st in
   let step () =
     copy_into ~src:st ~dst:backup;
@@ -364,26 +323,19 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
   in
   let slice_len = Rc.slice_size cfg ~length:params.iterations in
   let outcome =
-    try
-      while !next < params.iterations do
-        boundary ();
-        let hi = min (!next + slice_len) params.iterations in
-        for _ = !next + 1 to hi do
-          step ()
-        done;
-        next := hi;
-        incr slices_done;
-        flush ()
-      done;
-      (match cfg.Rc.checkpoint_path with
-      | Some path when Sys.file_exists path -> (
-          try Sys.remove path with Sys_error _ -> ())
-      | Some _ | None -> ());
-      Outcome.Complete
-    with Stopped o ->
-      flush ();
-      o
+    Lifecycle.run lc (fun () ->
+        while !next < params.iterations do
+          Lifecycle.boundary lc checkpoint_now;
+          let hi = min (!next + slice_len) params.iterations in
+          for _ = !next + 1 to hi do
+            step ()
+          done;
+          next := hi;
+          Lifecycle.slice_done lc;
+          flush ()
+        done)
   in
+  flush ();
   {
     widths = Array.sub best_state.widths 0 best_state.tams;
     assignment = Array.copy best_state.assignment;
@@ -392,10 +344,6 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
     proposed = !proposed;
     outcome;
   }
-
-let optimize ?(params = default_params) ~table ~total_width ~max_tams () =
-  let cfg = Rc.with_max_tams max_tams Rc.default in
-  run_with ~params cfg ~table ~total_width
 
 (* -- engine adapter -------------------------------------------------------- *)
 

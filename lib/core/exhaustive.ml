@@ -24,7 +24,13 @@ type result = {
    deadline is consulted, so even a zero budget returns a well-formed
    (truncated) incumbent instead of failing. The deadline itself is a
    monotonic reading ([Timer.now_s]): a wall-clock step under NTP can
-   neither cut the budget short nor extend it. *)
+   neither cut the budget short nor extend it.
+
+   [halted] is shared by every chunk of one slice. The chunk that stops
+   early (node budget or deadline) sets it, and every chunk skips the
+   partitions it has not started once it is set. A one-worker team
+   claims its chunks in rank order, so the first stop ends the whole
+   slice exactly as one sequential walk over it would. *)
 type chunk = {
   mutable k_time : int;
   mutable k_rank : int;
@@ -40,7 +46,7 @@ type chunk = {
    the chunk best: a solve that only reproduced the warm start must not
    surface its placeholder assignment. *)
 let solve_chunk ?(stats = Obs.null) ~solver ~cap ~node_limit_per_partition
-    ~out_of_time ~table ~total_width ~tams ~lo ~hi () =
+    ~out_of_time ~halted ~table ~total_width ~tams ~lo ~hi () =
   let c =
     {
       k_time = max_int;
@@ -52,8 +58,10 @@ let solve_chunk ?(stats = Obs.null) ~solver ~cap ~node_limit_per_partition
     }
   in
   (match
-     Soctam_partition.Enumerate.Odometer.create_at ~total:total_width
-       ~parts:tams ~rank:lo
+     if Atomic.get halted then None
+     else
+       Soctam_partition.Enumerate.Odometer.create_at ~total:total_width
+         ~parts:tams ~rank:lo
    with
   | None -> ()
   | Some odometer ->
@@ -82,7 +90,10 @@ let solve_chunk ?(stats = Obs.null) ~solver ~cap ~node_limit_per_partition
            is too hard for the budgets: keep its incumbent but stop this
            chunk, as the sequential baseline always did. *)
         if exact.Soctam_ilp.Exact.optimal then c.k_solved <- c.k_solved + 1
-        else continue := false;
+        else begin
+          Atomic.set halted true;
+          continue := false
+        end;
         if exact.Soctam_ilp.Exact.time < c.k_time
            && exact.Soctam_ilp.Exact.time < cap then begin
           c.k_time <- exact.Soctam_ilp.Exact.time;
@@ -93,7 +104,11 @@ let solve_chunk ?(stats = Obs.null) ~solver ~cap ~node_limit_per_partition
         incr rank;
         if !rank >= hi then continue := false
         else if !continue then begin
-          if out_of_time () then continue := false
+          if out_of_time () then begin
+            Atomic.set halted true;
+            continue := false
+          end
+          else if Atomic.get halted then continue := false
           else ignore (Soctam_partition.Enumerate.Odometer.advance odometer)
         end
       done);
@@ -127,7 +142,7 @@ let restore_ex ~cfg ~solver ~total_width ~tams (cp : Checkpoint.t) =
 
 let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   if total_width < tams then
-    invalid_arg "Exhaustive.run: total_width must be >= tams";
+    invalid_arg "Exhaustive.run_with: total_width must be >= tams";
   let stats = cfg.Run_config.stats in
   let total =
     Soctam_partition.Count.exact ~total:total_width ~parts:tams
@@ -140,18 +155,12 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
       (restore_ex ~cfg ~solver ~total_width ~tams)
       cfg.Run_config.resume
   in
+  let lc = Lifecycle.start cfg in
   (* A fresh run records the instance size once; a resumed run replays
-     the interrupted run's counters instead (they already include it),
-     so the resumed collector converges to an uninterrupted run's
-     totals — unless the caller (the racer) disables the replay because
-     its collector observed the interrupted run live. *)
+     the interrupted run's counters instead (they already include it). *)
   (match cfg.Run_config.resume with
   | None -> Obs.add stats ~n:total "exhaustive/partitions_total"
-  | Some cp ->
-      if Obs.enabled stats && cfg.Run_config.resume_replay then
-        List.iter
-          (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-          cp.Checkpoint.counters);
+  | Some _ -> Lifecycle.replay lc);
   let next =
     ref (match restored with Some s -> s.Checkpoint.ex_next_rank | None -> 0)
   in
@@ -164,16 +173,7 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   let best =
     ref (match restored with Some s -> s.Checkpoint.ex_best | None -> None)
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Run_config.time_budget
-  in
-  let out_of_time () =
-    match deadline with
-    | None -> false
-    | Some d -> Soctam_util.Timer.now_s () > d
-  in
+  let out_of_time () = Lifecycle.out_of_time lc in
   let checkpoint_now () =
     {
       Checkpoint.soc = cfg.Run_config.soc_name;
@@ -198,103 +198,79 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
           };
     }
   in
-  let write_checkpoint cp =
-    match cfg.Run_config.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
   let slice_len = Run_config.slice_size cfg ~length:total in
-  let stop = ref None in
-  let slices_done = ref 0 in
-  while !next < total && !stop = None do
-    (* The safe state to resume a truncated slice from: which partitions
-       inside the slice got solved before a budget stop is
-       timing-dependent, so the checkpoint rewinds to the slice start
-       and the resumed run re-solves the whole slice. *)
-    let cp_pre = checkpoint_now () in
-    let lo = !next in
-    let hi = min (lo + slice_len) total in
-    let chunks =
-      Obs.span stats "exhaustive/solve" (fun () ->
-          Soctam_util.Pool.map_ranges ~stats ~jobs:cfg.Run_config.jobs
-            ~length:(hi - lo)
-            ~f:(fun ~lo:clo ~hi:chi ->
-              solve_chunk ~stats ~solver ~cap
-                ~node_limit_per_partition:cfg.Run_config.node_limit
-                ~out_of_time ~table ~total_width ~tams ~lo:(lo + clo)
-                ~hi:(lo + chi) ())
-            ())
-    in
-    (* Deterministic reduction, as in [Partition_evaluate]: the winner is
-       the minimum by (time, rank), independent of completion order. *)
-    Array.iter
-      (fun c ->
-        if Array.length c.k_widths <> 0 then
-          match !best with
-          | Some b
-            when b.Checkpoint.eb_time < c.k_time
-                 || (b.Checkpoint.eb_time = c.k_time
-                    && b.Checkpoint.eb_rank < c.k_rank) ->
-              ()
-          | Some _ | None ->
-              best :=
-                Some
-                  {
-                    Checkpoint.eb_time = c.k_time;
-                    eb_rank = c.k_rank;
-                    eb_widths = c.k_widths;
-                    eb_assignment = c.k_assignment;
-                  })
-      chunks;
-    let slice_solved =
-      Array.fold_left (fun acc c -> acc + c.k_solved) 0 chunks
-    in
-    solved := !solved + slice_solved;
-    nodes :=
-      !nodes + Array.fold_left (fun acc c -> acc + c.k_nodes) 0 chunks;
-    next := hi;
-    incr slices_done;
-    if slice_solved < hi - lo then begin
-      (* A deadline or per-partition node budget stopped the slice
-         mid-way: the incumbent keeps the partial work, the resume
-         token rewinds to the slice start. *)
-      write_checkpoint cp_pre;
-      stop := Some (Outcome.Budget_exhausted cp_pre)
-    end
-    else if !next < total then
-      if
-        match cfg.Run_config.slice_limit with
-        | Some limit -> !slices_done >= limit
-        | None -> false
-      then begin
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        stop := Some (Outcome.Budget_exhausted cp)
+  (* Stop order, unlike the boundary-first engines: the first slice runs
+     before any check (so a zero budget still solves one partition), a
+     slice truncated inside stops the run at once, and the shared
+     boundary runs after every other slice that leaves work to do. *)
+  let slices team =
+    while !next < total do
+      (* The safe state to resume a truncated slice from: which
+         partitions inside the slice got solved before a budget stop is
+         timing-dependent, so the checkpoint rewinds to the slice start
+         and the resumed run re-solves the whole slice. *)
+      let cp_pre = checkpoint_now () in
+      let lo = !next in
+      let hi = min (lo + slice_len) total in
+      let halted = Atomic.make false in
+      let chunks =
+        Obs.span stats "exhaustive/solve" (fun () ->
+            Soctam_util.Pool.map_chunks ~stats ~min_chunk:1 team
+              ~length:(hi - lo)
+              ~f:(fun ~worker:_ ~lo:clo ~hi:chi ->
+                solve_chunk ~stats ~solver ~cap
+                  ~node_limit_per_partition:cfg.Run_config.node_limit
+                  ~out_of_time ~halted ~table ~total_width ~tams
+                  ~lo:(lo + clo) ~hi:(lo + chi) ())
+              ())
+      in
+      (* Deterministic reduction, as in [Partition_evaluate]: the winner
+         is the minimum by (time, rank), independent of completion
+         order. *)
+      Array.iter
+        (fun (ch : chunk Soctam_util.Pool.chunk) ->
+          let c = ch.Soctam_util.Pool.c_value in
+          if Array.length c.k_widths <> 0 then
+            match !best with
+            | Some b
+              when b.Checkpoint.eb_time < c.k_time
+                   || (b.Checkpoint.eb_time = c.k_time
+                      && b.Checkpoint.eb_rank < c.k_rank) ->
+                ()
+            | Some _ | None ->
+                best :=
+                  Some
+                    {
+                      Checkpoint.eb_time = c.k_time;
+                      eb_rank = c.k_rank;
+                      eb_widths = c.k_widths;
+                      eb_assignment = c.k_assignment;
+                    })
+        chunks;
+      let sum f =
+        Array.fold_left
+          (fun acc ch -> acc + f ch.Soctam_util.Pool.c_value)
+          0 chunks
+      in
+      let slice_solved = sum (fun c -> c.k_solved) in
+      solved := !solved + slice_solved;
+      nodes := !nodes + sum (fun c -> c.k_nodes);
+      next := hi;
+      Lifecycle.slice_done lc;
+      if slice_solved < hi - lo then begin
+        (* A deadline or per-partition node budget stopped the slice
+           mid-way: the incumbent keeps the partial work, the resume
+           token rewinds to the slice start. *)
+        Lifecycle.save lc cp_pre;
+        Lifecycle.stop (Outcome.Budget_exhausted cp_pre)
       end
-      else if cfg.Run_config.cancel () then begin
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        stop := Some (Outcome.Interrupted cp)
-      end
-      else if out_of_time () then begin
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        stop := Some (Outcome.Budget_exhausted cp)
-      end
-      else write_checkpoint (checkpoint_now ())
-  done;
+      else if !next < total then Lifecycle.boundary lc checkpoint_now
+    done
+  in
   let outcome =
-    match !stop with
-    | Some o -> o
-    | None ->
-        (match cfg.Run_config.checkpoint_path with
-        | Some path when Sys.file_exists path -> (
-            try Sys.remove path with Sys_error _ -> ())
-        | Some _ | None -> ());
-        Outcome.Complete
+    Soctam_util.Pool.Team.with_team ~oversubscribe:cfg.Run_config.oversubscribe
+      ~jobs:(max 1 cfg.Run_config.jobs) (fun team ->
+        Lifecycle.run lc (fun () -> slices team))
   in
   match !best with
   | None when cap < max_int ->
@@ -314,7 +290,8 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
         outcome;
       }
   | None ->
-      invalid_arg "Exhaustive.run: no partition evaluated (budget too small)"
+      invalid_arg
+        "Exhaustive.run_with: no partition evaluated (budget too small)"
   | Some b ->
       {
         widths = b.Checkpoint.eb_widths;
@@ -325,18 +302,3 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
         nodes = !nodes;
         outcome;
       }
-
-let run ?stats ?(node_limit_per_partition = 2_000_000) ?time_budget
-    ?(jobs = 1) ~table ~total_width ~tams () =
-  let cfg = Run_config.default in
-  let cfg = Run_config.with_jobs jobs cfg in
-  let cfg = Run_config.with_node_limit node_limit_per_partition cfg in
-  let cfg =
-    match stats with None -> cfg | Some s -> Run_config.with_stats s cfg
-  in
-  let cfg =
-    match time_budget with
-    | None -> cfg
-    | Some b -> Run_config.with_time_budget b cfg
-  in
-  run_with cfg ~table ~total_width ~tams

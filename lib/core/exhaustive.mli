@@ -53,10 +53,14 @@ val run_with :
     portfolio sets this field. [cfg.slice_limit] stops the run
     (resumably, [Outcome.Budget_exhausted]) after that many slices.
 
-    Policy read from [cfg]: [jobs] splits each slice into contiguous
-    rank chunks solved on that many domains; without a budget the result
-    is identical for every job count (the winner is the minimum by
-    (time, rank)). [time_budget] is in elapsed seconds on the monotonic
+    Policy read from [cfg]: [jobs] solves each slice on a work-stealing
+    team of that many workers ({!Soctam_util.Pool.map_chunks}, one
+    partition per chunk at minimum); without a budget the result is
+    identical for every job count (the winner is the minimum by
+    (time, rank)). The first partition not solved to optimality, or the
+    deadline, halts the slice: no chunk starts a partition after that,
+    so at [jobs = 1] the run stops exactly where a sequential walk
+    would. [time_budget] is in elapsed seconds on the monotonic
     clock; each worker always solves the first partition of its chunk
     before consulting the deadline, so even a zero budget returns a
     well-formed truncated incumbent with [Outcome.Budget_exhausted] (a
@@ -76,18 +80,3 @@ val run_with :
     @raise Invalid_argument when [total_width < tams] or a resume
     checkpoint does not match this run.
     @raise Failure when a checkpoint write to [checkpoint_path] fails. *)
-
-val run :
-  ?stats:Soctam_obs.Obs.t ->
-  ?node_limit_per_partition:int ->
-  ?time_budget:float ->
-  ?jobs:int ->
-  table:Time_table.t ->
-  total_width:int ->
-  tams:int ->
-  unit ->
-  result
-[@@alert deprecated "Use Exhaustive.run_with with a Run_config.t instead."]
-(** [run ~table ~total_width ~tams ()] is {!run_with} with the labelled
-    arguments folded into a {!Run_config.t}
-    ([node_limit_per_partition] defaults to 2_000_000). *)

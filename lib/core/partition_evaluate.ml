@@ -406,8 +406,6 @@ let check_args ~table ~total_width ~max_tams =
   if Time_table.max_width table < total_width then
     invalid_arg "Partition_evaluate: time table narrower than total width"
 
-exception Stopped of Outcome.t
-
 let run_with (cfg : Run_config.t) ~table ~total_width =
   let effective_max =
     match cfg.Run_config.tams with
@@ -435,25 +433,10 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
   let restored =
     Option.map (restore_pe ~cfg ~total_width ~b_values) cfg.Run_config.resume
   in
-  (* Replay the interrupted run's solver-owned counters so the resumed
-     collector converges to an uninterrupted run's totals. The racer
-     disables this after the first resume: its collector already saw
-     these counters live. *)
-  (match cfg.Run_config.resume with
-  | Some cp when Obs.enabled stats && cfg.Run_config.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  let lc = Lifecycle.start cfg in
+  Lifecycle.replay lc;
   let extras =
-    let get name =
-      match cfg.Run_config.resume with
-      | None -> 0
-      | Some cp -> (
-          match List.assoc_opt name cp.Checkpoint.counters with
-          | Some n -> n
-          | None -> 0)
-    in
+    let get = Lifecycle.resumed lc in
     {
       x_tried = get "core_assign/assignments_tried";
       x_early = get "core_assign/early_terminations";
@@ -496,11 +479,6 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
         | None -> [])
         @ List.map (fresh_b ~total_width) s.Checkpoint.pe_pending
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Run_config.time_budget
-  in
   let counters_now ~cursor =
     let live = List.rev_append !done_rev (Option.to_list cursor) in
     let sum f = List.fold_left (fun acc g -> acc + f g) 0 live in
@@ -542,35 +520,6 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
           };
     }
   in
-  let write_checkpoint cp =
-    match cfg.Run_config.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
-  let slices_done = ref 0 in
-  let boundary ~cursor ~pending =
-    (match cfg.Run_config.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now ~cursor ~pending in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Run_config.cancel () then begin
-      let cp = checkpoint_now ~cursor ~pending in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now ~cursor ~pending in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ~cursor ~pending)
-  in
   let accumulate g (s : slice) hi =
     g.g_next <- hi;
     g.g_enumerated <- g.g_enumerated + s.sl_enumerated;
@@ -589,9 +538,9 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
        dominant cost of the previous spawn-per-slice design. *)
     Pool.Team.with_team ~oversubscribe:cfg.Run_config.oversubscribe
       ~jobs:(max 1 jobs) (fun team ->
-        try
+        Lifecycle.run lc (fun () ->
           let rec over_plan = function
-            | [] -> Outcome.Complete
+            | [] -> ()
             | g :: pending ->
                 (* A fresh TAM count resets the bound when tau is not
                    carried; a restored mid-B cursor keeps the
@@ -602,7 +551,8 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
                   Run_config.slice_size cfg ~length:g.g_unique
                 in
                 while g.g_next < g.g_unique do
-                  boundary ~cursor:(Some g) ~pending;
+                  Lifecycle.boundary lc (fun () ->
+                      checkpoint_now ~cursor:(Some g) ~pending);
                   let lo = g.g_next in
                   let hi = min (lo + slice_len) g.g_unique in
                   let s =
@@ -610,19 +560,12 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
                       ~tams:g.g_tams ~tau ~lo ~hi best
                   in
                   accumulate g s hi;
-                  incr slices_done
+                  Lifecycle.slice_done lc
                 done;
                 done_rev := g :: !done_rev;
                 over_plan pending
           in
-          let outcome = over_plan todo in
-          (* A finished run leaves no stale resume bait behind. *)
-          (match cfg.Run_config.checkpoint_path with
-          | Some path when Sys.file_exists path -> (
-              try Sys.remove path with Sys_error _ -> ())
-          | Some _ | None -> ());
-          outcome
-        with Stopped o -> o)
+          over_plan todo))
   in
   let per_b = List.rev_map b_stats_of_eng !done_rev |> Array.of_list in
   if Array.length best.b_widths = 0 then begin
@@ -648,27 +591,3 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
       per_b;
       outcome;
     }
-
-(* -- deprecated labelled-argument wrappers --------------------------------- *)
-
-let config ?stats ?initial_best ?(carry_tau = true) ?(jobs = 1) () =
-  let cfg = Run_config.default in
-  let cfg = Run_config.with_jobs jobs cfg in
-  let cfg = Run_config.with_carry_tau carry_tau cfg in
-  let cfg =
-    match stats with None -> cfg | Some s -> Run_config.with_stats s cfg
-  in
-  match initial_best with
-  | None -> cfg
-  | Some b -> Run_config.with_initial_best b cfg
-
-let run ?stats ?initial_best ?carry_tau ?(jobs = 1) ~table ~total_width
-    ~max_tams () =
-  let cfg = config ?stats ?initial_best ?carry_tau ~jobs () in
-  run_with
-    (Run_config.with_max_tams max_tams cfg)
-    ~table ~total_width
-
-let run_fixed ?stats ?initial_best ?(jobs = 1) ~table ~total_width ~tams () =
-  let cfg = config ?stats ?initial_best ~jobs () in
-  run_with (Run_config.with_tams tams cfg) ~table ~total_width

@@ -8,8 +8,8 @@
     [Co_optimize.run_with], [Partition_evaluate.run_with],
     [Exhaustive.run_with] or [Sweep.run_with], and every run policy —
     parallelism, observability, budgets, checkpointing, resume,
-    cancellation — travels together. The old labelled-arg entry points
-    remain as thin deprecated wrappers over this type.
+    cancellation — travels together. [run_with] is each solver's only
+    entry point.
 
     Instance data (which SOC, which time table width, which fixed TAM
     count for the exhaustive baseline) stays an explicit argument of

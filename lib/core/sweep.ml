@@ -55,9 +55,9 @@ let restore_sw ~cfg ~widths (cp : Checkpoint.t) =
       invalid_arg "Sweep: resume checkpoint is for a different solver"
 
 let run_with (cfg : Run_config.t) soc ~widths =
-  if widths = [] then invalid_arg "Sweep.run: empty width list";
+  if widths = [] then invalid_arg "Sweep.run_with: empty width list";
   List.iter
-    (fun w -> if w < 1 then invalid_arg "Sweep.run: widths must be >= 1")
+    (fun w -> if w < 1 then invalid_arg "Sweep.run_with: widths must be >= 1")
     widths;
   let stats = cfg.Run_config.stats in
   let table =
@@ -80,11 +80,7 @@ let run_with (cfg : Run_config.t) soc ~widths =
     ref
       (match restored with Some s -> s.Checkpoint.sw_pending | None -> widths)
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Run_config.time_budget
-  in
+  let lc = Lifecycle.start cfg in
   let checkpoint_now ?inner () =
     {
       Checkpoint.soc = cfg.Run_config.soc_name;
@@ -102,14 +98,6 @@ let run_with (cfg : Run_config.t) soc ~widths =
             sw_inner = inner;
           };
     }
-  in
-  let write_checkpoint cp =
-    match cfg.Run_config.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
   in
   (* The per-width run inherits the sweep's policy but never writes its
      own checkpoints: the sweep is the checkpointed unit. A width
@@ -133,25 +121,21 @@ let run_with (cfg : Run_config.t) soc ~widths =
   let inner_resume =
     ref (match restored with Some s -> s.Checkpoint.sw_inner | None -> None)
   in
-  let stop = ref None in
-  while !pending <> [] && !stop = None do
-    let width = List.hd !pending in
-    let remaining =
-      Option.map
-        (fun d -> Float.max 0. (d -. Soctam_util.Timer.now_s ()))
-        deadline
-    in
-    if cfg.Run_config.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      stop := Some (Outcome.Interrupted cp)
-    end
-    else if (match remaining with Some r -> r <= 0. | None -> false) then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      stop := Some (Outcome.Budget_exhausted cp)
-    end
-    else begin
+  (* The sweep's own stop order: cancellation, then the deadline, both
+     checked before each width; the sweep has no slices of its own. *)
+  let halt ?inner make =
+    let cp = checkpoint_now ?inner () in
+    Lifecycle.save lc cp;
+    Lifecycle.stop (make cp)
+  in
+  let widths () =
+    while !pending <> [] do
+      let width = List.hd !pending in
+      let remaining = Lifecycle.remaining lc in
+      if cfg.Run_config.cancel () then
+        halt (fun cp -> Outcome.Interrupted cp);
+      if match remaining with Some r -> r <= 0. | None -> false then
+        halt (fun cp -> Outcome.Budget_exhausted cp);
       let resume = !inner_resume in
       inner_resume := None;
       let result =
@@ -166,13 +150,9 @@ let run_with (cfg : Run_config.t) soc ~widths =
          resume picks the width up mid-search. *)
       match result.Co_optimize.outcome with
       | Outcome.Interrupted inner ->
-          let cp = checkpoint_now ~inner () in
-          write_checkpoint cp;
-          stop := Some (Outcome.Interrupted cp)
+          halt ~inner (fun cp -> Outcome.Interrupted cp)
       | Outcome.Budget_exhausted inner ->
-          let cp = checkpoint_now ~inner () in
-          write_checkpoint cp;
-          stop := Some (Outcome.Budget_exhausted cp)
+          halt ~inner (fun cp -> Outcome.Budget_exhausted cp)
       | Outcome.Complete ->
           let bounds = Bounds.compute table ~total_width:width in
           let partition =
@@ -191,31 +171,11 @@ let run_with (cfg : Run_config.t) soc ~widths =
             }
             :: !done_rev;
           pending := List.tl !pending;
-          if !pending <> [] then write_checkpoint (checkpoint_now ())
-    end
-  done;
-  let outcome =
-    match !stop with
-    | Some o -> o
-    | None ->
-        (match cfg.Run_config.checkpoint_path with
-        | Some path when Sys.file_exists path -> (
-            try Sys.remove path with Sys_error _ -> ())
-        | Some _ | None -> ());
-        Outcome.Complete
+          if !pending <> [] then Lifecycle.save lc (checkpoint_now ())
+    done
   in
+  let outcome = Lifecycle.run lc widths in
   { points = List.rev !done_rev; outcome }
-
-let run ?stats ?(max_tams = 10) ?(node_limit = 2_000_000) ?(jobs = 1) soc
-    ~widths =
-  let cfg = Run_config.default in
-  let cfg = Run_config.with_jobs jobs cfg in
-  let cfg = Run_config.with_node_limit node_limit cfg in
-  let cfg = Run_config.with_max_tams max_tams cfg in
-  let cfg =
-    match stats with None -> cfg | Some s -> Run_config.with_stats s cfg
-  in
-  (run_with cfg soc ~widths).points
 
 let knee ?(tolerance_pct = 5.) points =
   match points with

@@ -44,18 +44,6 @@ val run_with : Run_config.t -> Soctam_model.Soc.t -> widths:int list -> result
     match this sweep's [max_tams], width list or SOC name.
     @raise Failure when a checkpoint write fails. *)
 
-val run :
-  ?stats:Soctam_obs.Obs.t ->
-  ?max_tams:int ->
-  ?node_limit:int ->
-  ?jobs:int ->
-  Soctam_model.Soc.t ->
-  widths:int list ->
-  point list
-[@@alert deprecated "Use Sweep.run_with with a Run_config.t instead."]
-(** [run soc ~widths] is {!run_with} with the labelled arguments folded
-    into a {!Run_config.t}, returning just the points. *)
-
 val knee : ?tolerance_pct:float -> point list -> point option
 (** The narrowest width whose time is within [tolerance_pct] (default 5%)
     of the best time in the sweep — the economic choice of pin budget.

@@ -4,6 +4,7 @@ module Shared_min = Soctam_util.Pool.Shared_min
 module Rc = Soctam_core.Run_config
 module Outcome = Soctam_core.Outcome
 module Checkpoint = Soctam_core.Checkpoint
+module Lifecycle = Soctam_core.Lifecycle
 module Core_assign = Soctam_core.Core_assign
 module Tt = Soctam_core.Time_table
 
@@ -428,8 +429,6 @@ let restore_pack ~cfg ~total_width ~ranks (cp : Checkpoint.t) =
   | Checkpoint.Sweep _ | Checkpoint.Anneal _ | Checkpoint.Race _ ->
       invalid_arg "Pack_engine: resume checkpoint is for a different solver"
 
-exception Stopped of Outcome.t
-
 let run_with (cfg : Rc.t) ~table ~total_width =
   if total_width < 1 then invalid_arg "Pack_engine: total_width must be >= 1";
   if cfg.Rc.max_tams < 1 then invalid_arg "Pack_engine: max_tams must be >= 1";
@@ -457,21 +456,10 @@ let run_with (cfg : Rc.t) ~table ~total_width =
   in
   (* Replay the interrupted run's solver-owned counters so the resumed
      collector converges to an uninterrupted run's totals. *)
-  (match cfg.Rc.resume with
-  | Some cp when Obs.enabled stats && cfg.Rc.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  let lc = Lifecycle.start cfg in
+  Lifecycle.replay lc;
   let extras =
-    let get name =
-      match cfg.Rc.resume with
-      | None -> 0
-      | Some cp -> (
-          match List.assoc_opt name cp.Checkpoint.counters with
-          | Some n -> n
-          | None -> 0)
-    in
+    let get = Lifecycle.resumed lc in
     {
       x_tried = get "core_assign/assignments_tried";
       x_early = get "core_assign/early_terminations";
@@ -514,11 +502,6 @@ let run_with (cfg : Rc.t) ~table ~total_width =
       (match restored with
       | Some s -> s.Checkpoint.pk_best_makespan
       | None -> None)
-  in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Rc.time_budget
   in
   let counters_now () =
     List.filter
@@ -565,42 +548,13 @@ let run_with (cfg : Rc.t) ~table ~total_width =
           };
     }
   in
-  let write_checkpoint cp =
-    match cfg.Rc.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
-  let slices_done = ref 0 in
-  let boundary () =
-    (match cfg.Rc.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Rc.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ())
-  in
   let slice_len = Rc.slice_size cfg ~length:ranks in
   let outcome =
     Pool.Team.with_team ~oversubscribe:cfg.Rc.oversubscribe
       ~jobs:(max 1 cfg.Rc.jobs) (fun team ->
-        try
+        Lifecycle.run lc (fun () ->
           while !next < ranks do
-            boundary ();
+            Lifecycle.boundary lc checkpoint_now;
             let lo = !next in
             let hi = min (lo + slice_len) ranks in
             let s =
@@ -608,7 +562,7 @@ let run_with (cfg : Rc.t) ~table ~total_width =
                 ~max_tams ~sp ~tau ~lo ~hi best
             in
             next := hi;
-            incr slices_done;
+            Lifecycle.slice_done lc;
             packings := !packings + s.sl_packings;
             cands := !cands + s.sl_candidates;
             completed := !completed + s.sl_completed;
@@ -618,13 +572,7 @@ let run_with (cfg : Rc.t) ~table ~total_width =
             extras.x_early <- extras.x_early + s.sl_early;
             extras.x_levels <- extras.x_levels + s.sl_levels;
             extras.x_publications <- extras.x_publications + s.sl_publications
-          done;
-          (match cfg.Rc.checkpoint_path with
-          | Some path when Sys.file_exists path -> (
-              try Sys.remove path with Sys_error _ -> ())
-          | Some _ | None -> ());
-          Outcome.Complete
-        with Stopped o -> o)
+          done))
   in
   if Array.length best.b_widths = 0 then begin
     (* Nothing beat the seed (or the budget expired before the first

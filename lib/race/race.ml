@@ -2,6 +2,7 @@ module Engine = Soctam_core.Engine
 module Rc = Soctam_core.Run_config
 module Outcome = Soctam_core.Outcome
 module Checkpoint = Soctam_core.Checkpoint
+module Lifecycle = Soctam_core.Lifecycle
 module Core_assign = Soctam_core.Core_assign
 module Tt = Soctam_core.Time_table
 module Obs = Soctam_obs.Obs
@@ -95,8 +96,6 @@ let restore_race ~cfg ~total_width ~engines (cp : Checkpoint.t) =
   | Checkpoint.Sweep _ | Checkpoint.Pack _ | Checkpoint.Anneal _ ->
       invalid_arg "Race: resume checkpoint is for a different solver"
 
-exception Stopped of Outcome.t
-
 let run (cfg : Rc.t) ~engines ~table ~total_width =
   if engines = [] then invalid_arg "Race: empty portfolio";
   let rec check_dup = function
@@ -134,12 +133,8 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
   in
   (* Replay the interrupted race's own counters; each slot token's
      engine counters replay on that engine's first resumed slice. *)
-  (match cfg.Rc.resume with
-  | Some cp when Obs.enabled stats && cfg.Rc.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  let lc = Lifecycle.start cfg in
+  Lifecycle.replay lc;
   let slots =
     match restored with
     | Some s ->
@@ -207,11 +202,6 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
       | Some s -> Some s.s_name
       | None -> None)
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Rc.time_budget
-  in
   let counters_now () =
     List.filter
       (fun (_, n) -> n > 0)
@@ -264,35 +254,6 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
                 slots;
           };
     }
-  in
-  let write_checkpoint cp =
-    match cfg.Rc.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
-  let slices_done = ref 0 in
-  let boundary () =
-    (match cfg.Rc.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Rc.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ())
   in
   (* The next grant in the fixed round-robin schedule, derived from the
      slot slice counts alone: within a round every live slot earlier in
@@ -374,28 +335,19 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
     | Outcome.Budget_exhausted cp | Outcome.Interrupted cp ->
         s.s_token <- Some cp
   in
-  let outcome =
-    try
-      let rec loop () =
-        if !proof <> None then ()
-        else
-          match next_slot () with
-          | None -> ()
-          | Some (s, fresh_round) ->
-              boundary ();
-              if fresh_round then incr rounds;
-              run_slice s;
-              incr slices_done;
-              loop ()
-      in
-      loop ();
-      (match cfg.Rc.checkpoint_path with
-      | Some path when Sys.file_exists path -> (
-          try Sys.remove path with Sys_error _ -> ())
-      | Some _ | None -> ());
-      Outcome.Complete
-    with Stopped o -> o
+  let rec loop () =
+    if !proof <> None then ()
+    else
+      match next_slot () with
+      | None -> ()
+      | Some (s, fresh_round) ->
+          Lifecycle.boundary lc checkpoint_now;
+          if fresh_round then incr rounds;
+          run_slice s;
+          Lifecycle.slice_done lc;
+          loop ()
   in
+  let outcome = Lifecycle.run lc loop in
   (match (outcome, !proof, Obs.enabled stats, best.b_winner) with
   | Outcome.Complete, _, true, Some w -> Obs.event stats ("race/winner " ^ w)
   | _ -> ());

@@ -1,3 +1,5 @@
+module Json = Soctam_util.Json
+
 module Obs = Soctam_obs.Obs
 
 let counters_obj counters =

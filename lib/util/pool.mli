@@ -12,20 +12,15 @@
     are reduced) stays with the caller, which is what makes the
     deterministic reductions easy to audit.
 
-    Two schedulers are provided. {!Team} + {!map_chunks} is the
-    production engine: domains are spawned once per team and parked
-    between rounds, each worker owns an atomic range descriptor it
-    claims adaptive chunks from, and idle workers steal the top half of
-    a victim's descriptor. {!run} / {!map_ranges} is the legacy static
-    layer (spawn per call, fixed chunk grid) kept for callers whose per
-    item cost dwarfs scheduling ([Exhaustive]'s branch-and-bound) and
-    for the test suite's scheduler-independent baselines.
+    One scheduler is provided: {!Team} + {!map_chunks}. Domains are
+    spawned once per team and parked between rounds, each worker owns an
+    atomic range descriptor it claims adaptive chunks from, and idle
+    workers steal the top half of a victim's descriptor.
 
-    Determinism contract: {!run} and {!map_ranges} return results in
-    input order; {!map_chunks} returns chunks sorted by [c_lo], and the
-    chunks always tile the requested range exactly — every index
-    covered exactly once — no matter how steals interleave. A caller
-    whose per-chunk result is reduced by an associative,
+    Determinism contract: {!map_chunks} returns chunks sorted by
+    [c_lo], and the chunks always tile the requested range exactly —
+    every index covered exactly once — no matter how steals interleave.
+    A caller whose per-chunk result is reduced by an associative,
     chunk-boundary-independent operator (the solver's min-by
     [(time, rank)]) therefore gets byte-identical reductions at every
     [jobs] value. *)
@@ -40,43 +35,6 @@ val split : chunks:int -> length:int -> (int * int) array
     sizes differ by at most one (the leading ranges take the remainder).
     Empty when [length <= 0]; fewer than [chunks] ranges when
     [length < chunks] (never an empty range). *)
-
-val run :
-  ?stats:Soctam_obs.Obs.t -> jobs:int -> (unit -> 'a) array -> 'a array
-(** [run ~jobs thunks] evaluates every thunk and returns the results in
-    input order. With [jobs <= 1] or fewer than two thunks everything
-    runs inline on the calling domain (no spawning); otherwise
-    [min jobs (Array.length thunks)] domains are spawned and pull thunks
-    off a shared atomic counter until none remain, so a skewed thunk
-    cost (e.g. tau pruning killing one chunk early) rebalances onto the
-    idle domains.
-
-    [stats] (default disabled) records pool utilization: each executed
-    thunk bumps the [pool/chunks] counter attributed to the worker that
-    ran it ({!Soctam_obs.Obs.set_worker} tags spawned domains 1..N-1;
-    the calling domain is worker 0) and times the thunk into a
-    [pool/worker<i>] span, so per-worker busy time and chunk counts are
-    reported. The aggregate chunk count is deterministic; the
-    worker split and the times are not.
-
-    Exceptions raised by a thunk are re-raised on the calling domain
-    after every domain has been joined. *)
-
-val map_ranges :
-  ?stats:Soctam_obs.Obs.t ->
-  jobs:int ->
-  ?chunks_per_job:int ->
-  length:int ->
-  f:(lo:int -> hi:int -> 'a) ->
-  unit ->
-  'a array
-(** [map_ranges ~jobs ~length ~f ()] applies [f] to every range of
-    [split ~chunks:(jobs * chunks_per_job) ~length] via {!run}. Results
-    are in range order. [chunks_per_job] (default 4) oversubscribes the
-    pool so chunks whose work collapses early (shared-tau pruning)
-    do not leave domains idle. With [jobs <= 1] the single range
-    [0 .. length-1] is processed inline: the sequential path is the
-    parallel path with one chunk, not separate code. *)
 
 module Team : sig
   (** A persistent set of worker domains. [Domain.spawn] costs

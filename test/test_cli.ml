@@ -238,8 +238,8 @@ let read_file path =
   s
 
 let stats_counter json name =
-  Option.bind (Soctam_report.Json.member "counters" json) (fun c ->
-      Option.bind (Soctam_report.Json.member name c) Soctam_report.Json.to_int)
+  Option.bind (Soctam_util.Json.member "counters" json) (fun c ->
+      Option.bind (Soctam_util.Json.member name c) Soctam_util.Json.to_int)
 
 let optimize_stats_flag () =
   (* --stats=FILE at -j 4: the file must hold valid stats JSON whose
@@ -249,12 +249,12 @@ let optimize_stats_flag () =
   check_output
     [ "optimize"; "d695"; "-w"; "16"; "-j"; "4"; "--stats=" ^ path ]
     [ "final time"; "stats:" ];
-  (match Soctam_report.Json.parse (read_file path) with
+  (match Soctam_util.Json.parse (read_file path) with
   | Error msg -> Alcotest.failf "stats json does not parse: %s" msg
   | Ok json ->
       Alcotest.(check (option int)) "version" (Some 1)
-        (Option.bind (Soctam_report.Json.member "version" json)
-           Soctam_report.Json.to_int);
+        (Option.bind (Soctam_util.Json.member "version" json)
+           Soctam_util.Json.to_int);
       let c name =
         match stats_counter json name with
         | Some v -> v

@@ -521,6 +521,34 @@ let exhaustive_budget_degrades () =
   Alcotest.(check bool) "incumbent no better than optimum" true
     (starved.Ex.time >= full.Ex.time)
 
+let exhaustive_node_limit_truncation_pinned () =
+  (* At jobs=1 the first partition not solved to optimality stops the
+     whole slice: no later partition is solved, however the scheduler
+     carves the slice into chunks. These are the figures of the
+     single-chunk sequential walk; a scheduler that let a later chunk
+     keep solving after the stop returns 156201, [5; 7; 8] and 23 of 33
+     solved instead. *)
+  let soc =
+    Soctam_soc_data.Random_soc.generate
+      (Soctam_util.Prng.create 4L)
+      {
+        Soctam_soc_data.Random_soc.default_params with
+        Soctam_soc_data.Random_soc.cores = 7;
+      }
+  in
+  let table = Tt.build soc ~max_width:20 in
+  let r =
+    Runners.ex_run ~jobs:1 ~node_limit_per_partition:20 ~table ~total_width:20
+      ~tams:3 ()
+  in
+  Alcotest.(check int) "time" 199821 r.Ex.time;
+  Alcotest.(check (array int)) "widths" [| 3; 5; 12 |] r.Ex.widths;
+  Alcotest.(check int) "partitions total" 33 r.Ex.partitions_total;
+  Alcotest.(check int) "partitions solved" 19 r.Ex.partitions_solved;
+  Alcotest.(check int) "nodes" 243 r.Ex.nodes;
+  Alcotest.(check bool) "incomplete" false
+    (Soctam_core.Outcome.is_complete r.Ex.outcome)
+
 let exhaustive_counts_partitions () =
   let soc = small_soc 3L ~cores:4 in
   let table = Tt.build soc ~max_width:10 in
@@ -715,6 +743,8 @@ let suite =
     test "Partition_evaluate: initial_best seeding" initial_best_seeding;
     qtest exhaustive_is_optimal;
     test "Exhaustive: budget degradation" exhaustive_budget_degrades;
+    test "Exhaustive: jobs=1 node-limit truncation pinned"
+      exhaustive_node_limit_truncation_pinned;
     test "Exhaustive: partition accounting" exhaustive_counts_partitions;
     test "Exhaustive: zero budget still well-formed"
       exhaustive_zero_budget_truncates;

@@ -81,21 +81,6 @@ let split_sizes_balanced =
       let mx = Array.fold_left max 0 sizes in
       mx - mn <= 1)
 
-let run_preserves_input_order () =
-  let thunks = Array.init 23 (fun i () -> i * i) in
-  Alcotest.(check (array int))
-    "jobs=4 results in input order"
-    (Array.init 23 (fun i -> i * i))
-    (Pool.run ~jobs:4 thunks)
-
-let run_propagates_exception () =
-  Alcotest.check_raises "a worker exception reaches the caller"
-    (Failure "boom") (fun () ->
-      ignore
-        (Pool.run ~jobs:4
-           (Array.init 8 (fun i () ->
-                if i = 5 then failwith "boom" else i))))
-
 let shared_min_keeps_minimum =
   QCheck.Test.make ~name:"Shared_min: holds the minimum of all improvements"
     ~count:(scaled 200)
@@ -407,8 +392,6 @@ let suite =
   [
     qtest split_covers_every_index_once;
     qtest split_sizes_balanced;
-    test "pool: results in input order" run_preserves_input_order;
-    test "pool: exception propagation" run_propagates_exception;
     qtest shared_min_keeps_minimum;
     qtest chunks_tile_range;
     qtest map_chunks_reduction_matches_sequential;
